@@ -11,8 +11,11 @@ each).  This package turns those contracts into machine-checked rules:
 - four first-class source checkers (:mod:`repro.analyze.checkers`):
   ``precision-flow``, ``tag-space``, ``collective-matching`` and
   ``hygiene``;
-- an artifact checker wrapping the Chrome-trace schema validation so
-  ``repro lint`` is the single analysis entry point;
+- one registry of artifact-document checkers
+  (:mod:`repro.analyze.checkers.documents`) that routes each JSON
+  artifact — trace, profile, health report, fleet document, scenario,
+  campaign store — to its validator by ``schema`` tag, so ``repro
+  lint`` is the single analysis entry point;
 - an opt-in *runtime* sanitizer (:mod:`repro.analyze.sanitize`,
   ``REPRO_SANITIZE=1``) enforcing the dynamic side of the same
   precision contracts inside the BLAS shim.

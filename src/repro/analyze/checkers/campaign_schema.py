@@ -1,31 +1,21 @@
-"""``campaign-store``: validate campaign store rows and exports.
+"""Validator for the ``campaign-store`` document.
 
-Same pattern as the scenario/health schema checkers: the validation
-lives with the owning layer (:func:`repro.campaign.store.check_result_row`
-— which round-trips the embedded job through the campaign DSL), and
-this adapter makes ``repro lint store.jsonl --select campaign-store``
-the CI entry point.  It claims:
-
-- ``.jsonl`` files whose rows carry ``repro.campaign.result/v1``;
-- ``.json`` files that are either a single result row or a
-  ``repro.campaign.store/v1`` export (``{"schema": ..., "rows": [...]}``).
+:func:`check_store_document` validates a single result row or a
+``repro.campaign.store/v1`` export (``{"schema": ..., "rows": [...]}``).
+The row validation lives with the owning layer
+(:func:`repro.campaign.store.check_result_row`, which round-trips the
+embedded job through the campaign DSL).  The
+:mod:`repro.analyze.checkers.documents` registry routes store files
+and ``.jsonl`` rows to it, so ``repro lint store.jsonl`` is the CI
+entry point.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, List
+from typing import List
 
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import ArtifactChecker
 from repro.campaign.jobs import RESULT_SCHEMA
 from repro.campaign.store import STORE_SCHEMA, check_result_row
-
-
-def _looks_campaign(doc) -> bool:
-    return isinstance(doc, dict) and str(doc.get("schema", "")).startswith(
-        "repro.campaign."
-    )
 
 
 def check_store_document(doc) -> List[str]:
@@ -46,65 +36,3 @@ def check_store_document(doc) -> List[str]:
         f"schema must be {RESULT_SCHEMA!r} or {STORE_SCHEMA!r}, "
         f"got {doc.get('schema')!r}"
     ]
-
-
-class CampaignStoreChecker(ArtifactChecker):
-    id = "campaign-store"
-    description = (
-        "campaign store rows/exports validate against repro.campaign.result/v1"
-    )
-
-    def matches(self, path: str) -> bool:
-        return path.endswith((".json", ".jsonl"))
-
-    def check_file(self, path: str) -> Iterable[Finding]:
-        if path.endswith(".jsonl"):
-            yield from self._check_jsonl(path)
-            return
-        from repro.analyze.checkers.trace_schema import load_strict_json
-
-        try:
-            doc = load_strict_json(path)
-        except (ValueError, OSError) as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR,
-                message=f"not strict JSON: {exc}",
-            )
-            return
-        if not _looks_campaign(doc):
-            return
-        for problem in check_store_document(doc):
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=problem,
-            )
-
-    def _check_jsonl(self, path: str) -> Iterable[Finding]:
-        try:
-            lines = open(path).read().splitlines()
-        except OSError as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=f"unreadable: {exc}",
-            )
-            return
-        for i, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                yield Finding(
-                    checker=self.id, path=path, line=i,
-                    severity=Severity.ERROR,
-                    message=f"row is not valid JSON: {exc}",
-                )
-                continue
-            if not _looks_campaign(row):
-                continue
-            for problem in check_result_row(row):
-                yield Finding(
-                    checker=self.id, path=path, line=i,
-                    severity=Severity.ERROR, message=problem,
-                )

@@ -1,29 +1,21 @@
-"""``health-report``: validate ``repro health --json`` documents.
+"""Validator for the ``health-report`` document.
 
-Same pattern as the trace/profile schema checkers: a pure
-:func:`check_health_report` over a parsed document, adapted to the
-:mod:`repro.analyze` framework by :class:`HealthReportChecker` so
-``repro lint health.json --select health-report`` is the CI entry
-point for health artifacts
-(:data:`~repro.obs.health.report.HEALTH_SCHEMA`).
+:func:`check_health_report` validates a parsed ``repro health --json``
+report (:data:`~repro.obs.health.report.HEALTH_SCHEMA`); the
+:mod:`repro.analyze.checkers.documents` registry routes those files
+to it, so ``repro lint health.json`` is the CI entry point.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import ArtifactChecker
 from repro.obs.health.report import HEALTH_SCHEMA
 
 #: fields every finding entry must carry (mirrors HealthEvent.to_dict)
 _FINDING_KEYS = ("kind", "t_s", "severity", "ranks", "message")
 
 _SEVERITIES = {"info", "warning", "critical"}
-
-
-def _is_health_doc(doc) -> bool:
-    return isinstance(doc, dict) and doc.get("schema") == HEALTH_SCHEMA
 
 
 def check_health_report(doc) -> List[str]:
@@ -118,38 +110,3 @@ def check_health_report(doc) -> List[str]:
                     f"{len(s['v'])} values"
                 )
     return problems
-
-
-class HealthReportChecker(ArtifactChecker):
-    id = "health-report"
-    description = "repro health JSON reports match the documented schema"
-
-    def matches(self, path: str) -> bool:
-        return path.endswith(".json")
-
-    def check_file(self, path: str) -> Iterable[Finding]:
-        from repro.analyze.checkers.trace_schema import load_strict_json
-
-        try:
-            doc = load_strict_json(path)
-        except (ValueError, OSError) as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR,
-                message=f"not strict JSON: {exc}",
-            )
-            return
-        # Ours when it claims the health schema, or plainly wants to be
-        # a health report (characteristic section pair present) with a
-        # wrong tag.  Traces/profiles/bench records belong elsewhere.
-        looks_like_health = isinstance(doc, dict) and (
-            _is_health_doc(doc)
-            or ("findings" in doc and "degraded_ranks" in doc)
-        )
-        if not looks_like_health:
-            return
-        for problem in check_health_report(doc):
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=problem,
-            )

@@ -1,11 +1,10 @@
-"""``scenario-schema``: validate ``repro.scenario/v1`` documents.
+"""Validator for the ``scenario-schema`` document.
 
-Same pattern as the health/profile schema checkers: a pure
-:func:`check_scenario` over a parsed document, adapted to the
-:mod:`repro.analyze` framework by :class:`ScenarioChecker` so
-``repro lint examples/scenarios --select scenario-schema`` is the CI
-entry point for scenario files
-(:data:`~repro.scenario.spec.SCENARIO_SCHEMA`).
+:func:`check_scenario` validates a parsed ``repro.scenario/v1``
+document (:data:`~repro.scenario.spec.SCENARIO_SCHEMA`); the
+:mod:`repro.analyze.checkers.documents` registry routes scenario files
+to it, so ``repro lint examples/scenarios/*.json`` is the CI entry
+point.
 
 The validation itself is delegated to the scenario layer's own
 constructors — :func:`repro.scenario.injection_from_dict` rejects
@@ -15,15 +14,9 @@ checker can never drift from what the engines actually accept.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import ArtifactChecker
 from repro.scenario.spec import SCENARIO_SCHEMA
-
-
-def _is_scenario_doc(doc) -> bool:
-    return isinstance(doc, dict) and doc.get("schema") == SCENARIO_SCHEMA
 
 
 def check_scenario(doc) -> List[str]:
@@ -66,41 +59,3 @@ def check_scenario(doc) -> List[str]:
         except ConfigurationError as exc:
             problems.append(str(exc))
     return problems
-
-
-class ScenarioChecker(ArtifactChecker):
-    id = "scenario-schema"
-    description = "scenario JSON documents parse under the repro.scenario DSL"
-
-    def matches(self, path: str) -> bool:
-        return path.endswith(".json")
-
-    def check_file(self, path: str) -> Iterable[Finding]:
-        from repro.analyze.checkers.trace_schema import load_strict_json
-
-        try:
-            doc = load_strict_json(path)
-        except (ValueError, OSError) as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR,
-                message=f"not strict JSON: {exc}",
-            )
-            return
-        # Ours when it claims the scenario schema, or plainly wants to
-        # be one (an injections list with kind-tagged entries) with a
-        # wrong tag.  Traces/profiles/health reports belong elsewhere.
-        looks_like_scenario = isinstance(doc, dict) and (
-            _is_scenario_doc(doc)
-            or (
-                isinstance(doc.get("injections"), list)
-                and "traceEvents" not in doc
-            )
-        )
-        if not looks_like_scenario:
-            return
-        for problem in check_scenario(doc):
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=problem,
-            )

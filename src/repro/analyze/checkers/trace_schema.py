@@ -1,19 +1,12 @@
-"""``trace-schema`` / ``profile-schema``: validate exported JSON artifacts.
+"""Validators for the ``trace-schema`` and ``profile-schema`` documents.
 
-The library-level home of what ``scripts/check_trace_schema.py`` used
-to implement standalone (the script is now a thin shim over this
-module).  :func:`check_trace` validates a parsed trace document;
-:class:`TraceSchemaChecker` adapts it to the :mod:`repro.analyze`
-framework so ``repro lint trace.json`` is the single entry point.
-:func:`check_profile_report` / :class:`ProfileReportChecker` do the
-same for ``repro profile --format json`` reports
-(:data:`~repro.obs.analysis.report.PROFILE_SCHEMA`); each checker
-recognizes and skips the other's documents, so both can run in the
-default suite over a mixed artifact set.
+:func:`check_trace` validates a parsed Chrome-trace export and
+:func:`check_profile_report` a ``repro profile --format json`` report
+(:data:`~repro.obs.analysis.report.PROFILE_SCHEMA`).  Which of them
+sees a given file is decided by :mod:`repro.analyze.checkers.documents`.
 
-Checks (see docs/OBSERVABILITY.md):
+Trace checks (see docs/OBSERVABILITY.md):
 
-- the file is *strict* JSON (no bare NaN/Infinity tokens);
 - top level is an object with a ``traceEvents`` list and an
   ``otherData`` object carrying the schema version;
 - every event has ``name``/``ph``/``pid``/``tid``, phases are ``X``
@@ -27,26 +20,14 @@ Checks (see docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Iterable, List
+from typing import List
 
-from repro.analyze.findings import Finding, Severity
-from repro.analyze.framework import ArtifactChecker
 from repro.obs.analysis.report import PROFILE_SCHEMA
 
 #: layers an instrumented benchmark run must emit spans from
 REQUIRED_LAYERS = ("engine", "executor", "comm")
 
 VALID_PHASES = {"X", "M", "C"}
-
-
-def _is_profile_doc(doc) -> bool:
-    return isinstance(doc, dict) and doc.get("schema") == PROFILE_SCHEMA
-
-
-def _fail_on_constant(token):
-    raise ValueError(f"non-strict JSON token {token!r}")
 
 
 def check_trace(doc: dict, require_layers: bool = False) -> List[str]:
@@ -105,58 +86,6 @@ def check_trace(doc: dict, require_layers: bool = False) -> List[str]:
                 f"(found categories: {sorted(cats) or 'none'})"
             )
     return problems
-
-
-def load_strict_json(path: str):
-    """Parse ``path`` as strict JSON (bare NaN/Infinity are rejected)."""
-    return json.loads(
-        Path(path).read_text(), parse_constant=_fail_on_constant
-    )
-
-
-class TraceSchemaChecker(ArtifactChecker):
-    id = "trace-schema"
-    description = "exported Chrome-trace JSON matches the documented schema"
-
-    def __init__(self, require_layers: bool = False):
-        self.require_layers = require_layers
-
-    def matches(self, path: str) -> bool:
-        return path.endswith(".json")
-
-    def check_file(self, path: str) -> Iterable[Finding]:
-        try:
-            doc = load_strict_json(path)
-        except (ValueError, OSError) as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR,
-                message=f"not strict JSON: {exc}",
-            )
-            return
-        if _is_profile_doc(doc):
-            # ProfileReportChecker's document, not a trace.
-            return
-        from repro.analyze.checkers.health_schema import _is_health_doc
-
-        if _is_health_doc(doc):
-            # HealthReportChecker's document, not a trace.
-            return
-        from repro.analyze.checkers.scenario_schema import _is_scenario_doc
-
-        if _is_scenario_doc(doc):
-            # ScenarioChecker's document, not a trace.
-            return
-        from repro.analyze.checkers.fleet_schema import _is_fleet_doc
-
-        if _is_fleet_doc(doc):
-            # FleetSchemaChecker's document, not a trace.
-            return
-        for problem in check_trace(doc, require_layers=self.require_layers):
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=problem,
-            )
 
 
 def check_profile_report(doc) -> List[str]:
@@ -242,39 +171,3 @@ def check_profile_report(doc) -> List[str]:
                     problems.append(f"deviation.phases[{i}] is malformed")
                     break
     return problems
-
-
-class ProfileReportChecker(ArtifactChecker):
-    id = "profile-schema"
-    description = (
-        "repro profile JSON reports match the documented schema"
-    )
-
-    def matches(self, path: str) -> bool:
-        return path.endswith(".json")
-
-    def check_file(self, path: str) -> Iterable[Finding]:
-        try:
-            doc = load_strict_json(path)
-        except (ValueError, OSError) as exc:
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR,
-                message=f"not strict JSON: {exc}",
-            )
-            return
-        # A document is "ours" when it claims the profile schema, or
-        # plainly wants to be one (profile sections present) but got the
-        # schema tag wrong.  Anything else (Chrome traces, bench
-        # records, run reports) belongs to other checkers.
-        looks_like_profile = isinstance(doc, dict) and (
-            _is_profile_doc(doc)
-            or ("phase_seconds" in doc and "critical_path" in doc)
-        )
-        if not looks_like_profile:
-            return
-        for problem in check_profile_report(doc):
-            yield Finding(
-                checker=self.id, path=path, line=0,
-                severity=Severity.ERROR, message=problem,
-            )

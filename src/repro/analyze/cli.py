@@ -29,8 +29,9 @@ def add_lint_parser(sub) -> None:
     )
     p.add_argument(
         "paths", nargs="*", default=["src"],
-        help="files/directories to analyze (default: src); .json files "
-        "are validated as Chrome-trace artifacts",
+        help="files/directories to analyze (default: src); .json/.jsonl "
+        "artifacts go to the document checker their schema tag names "
+        "(untagged .json: trace-schema)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default text)")

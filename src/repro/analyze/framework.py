@@ -5,8 +5,8 @@ Checkers come in three kinds:
 - :class:`SourceChecker` — receives a parsed :class:`SourceModule`
   (AST + source text) per ``.py`` file and yields findings;
 - :class:`ArtifactChecker` — receives non-Python artifact paths it
-  claims via :meth:`ArtifactChecker.matches` (e.g. exported trace
-  JSON files);
+  claims via :meth:`ArtifactChecker.matches` (JSON artifact
+  documents, recorded traces for conformance replay);
 - :class:`ProgramChecker` — sees the whole analyzed file set once and
   runs a global analysis (e.g. the communication-schedule verifier),
   gated on explicit selection or on relevant files being analyzed.
@@ -118,6 +118,10 @@ class ArtifactChecker:
 
     id: str = ""
     description: str = ""
+
+    def bind(self, suite: Sequence["ArtifactChecker"]) -> None:
+        """Called once per run with every artifact checker taking part
+        (this one included).  The default does nothing."""
 
     def matches(self, path: str) -> bool:
         """Whether this checker claims the artifact at ``path``."""
@@ -299,6 +303,8 @@ def run_analysis(
         if checker.id in explicit or checker.triggered_by(py_files):
             raw.extend(checker.check_program(py_files))
 
+    for checker in artifact_checkers:
+        checker.bind(artifact_checkers)
     for path in _iter_artifact_files(paths):
         claimed = [c for c in artifact_checkers if c.matches(path)]
         if not claimed:

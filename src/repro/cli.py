@@ -28,8 +28,11 @@ Subcommands mirror the workflows in the paper:
   ``--against`` trend gate (docs/OBSERVABILITY.md);
 - ``serve``   — long-lived campaign HTTP/JSON API: cached/deduped run
   requests, streamed progress, Prometheus ``/metrics``;
-- ``lint``    — static analysis (precision-flow, tag-space,
-  collective-matching, hygiene, trace-schema) with baseline support;
+- ``lint``    — static analysis with baseline support: source checkers
+  (precision-flow, tag-space, collective-matching, hygiene), artifact
+  document schemas routed by ``schema`` tag (trace, profile, health,
+  fleet, scenario, campaign store) and communication-schedule checks
+  (``repro lint --list``);
 - ``specs``   — print machine presets.
 """
 

@@ -1,7 +1,10 @@
 """``repro lint`` CLI tests: formats, exit codes, baseline workflow."""
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -113,6 +116,132 @@ class TestTraceArtifacts:
         rc = main(["lint", path, "--no-baseline", "--require-layers"])
         assert rc == 1  # only 'executor' spans present
         assert "required layer" in capsys.readouterr().out
+
+
+SCENARIOS = sorted(
+    f"scenarios/{p.name}"
+    for p in (REPO_ROOT / "examples" / "scenarios").glob("*.json")
+)
+
+#: every artifact the repo writes, relative to the corpus directory
+CORPUS = [
+    "trace.json", "spans.jsonl", "profile.json", "health.json",
+    "fleet.json", *SCENARIOS, "campaign/store.jsonl",
+    "campaign/export.json", "campaign/queue.json", "campaign/summary.json",
+    "bench.json",
+]
+
+
+def _break_first_span(doc):
+    span = next(e for e in doc["traceEvents"] if e["ph"] == "X")
+    span["dur"] = -1
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _drop_best(row):
+    del row["best"]
+
+
+#: per validated kind: artifact, the checker that owns it, one broken field
+BROKEN = [
+    ("trace.json", "trace-schema", _break_first_span),
+    ("profile.json", "profile-schema", _set("num_ranks", 0)),
+    ("health.json", "health-report", _set("cadence_s", 0)),
+    ("fleet.json", "fleet-schema", _set("regressed", "nope")),
+    (SCENARIOS[0], "scenario-schema", _set("injections", [{"kind": "bogus"}])),
+    ("campaign/store.jsonl", "campaign-store", _drop_best),
+    ("campaign/export.json", "campaign-store",
+     lambda doc: _drop_best(doc["rows"][0])),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The artifact corpus, generated once from the smallest configs."""
+    d = tmp_path_factory.mktemp("corpus")
+    run = ["--machine", "frontier", "-p", "2", "--nl", "256", "-b", "64"]
+    for argv in (
+        ["trace", *run, "--out", d / "trace.json", "--jsonl",
+         d / "spans.jsonl"],
+        ["profile", d / "trace.json", "--format", "json",
+         "--out", d / "profile.json"],
+        ["health", *run, "--json", "--out", d / "health.json"],
+        ["campaign", *run, "--bcasts", "bcast,ring2m", "--runs", "1",
+         "--store", d / "campaign" / "store.jsonl",
+         "--export", d / "campaign" / "export.json",
+         "--summary-json", d / "campaign" / "summary.json"],
+        ["fleet", d / "campaign" / "store.jsonl", "--format", "json",
+         "--out", d / "fleet.json"],
+        ["bench", "hotpaths", "-n", "256", "--reps", "1",
+         "--out", d / "bench.json"],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    shutil.copytree(REPO_ROOT / "examples" / "scenarios", d / "scenarios")
+    return d
+
+
+def _lint(capsys, path, *extra):
+    """(exit code, findings) of a default-suite lint of one file."""
+    rc = main(["lint", str(path), "--no-baseline", "--format", "json",
+               *extra])
+    return rc, json.loads(capsys.readouterr().out)["findings"]
+
+
+class TestArtifactCorpus:
+    """Each artifact has exactly one owning checker in the default suite."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_artifact_lints_clean(self, corpus, name, capsys):
+        assert _lint(capsys, corpus / name) == (0, [])
+
+    @pytest.mark.parametrize(
+        "name,checker,mutate", BROKEN, ids=[b[0] for b in BROKEN]
+    )
+    def test_broken_field_flagged_by_owner_only(self, corpus, tmp_path,
+                                                name, checker, mutate,
+                                                capsys):
+        src = corpus / name
+        if src.suffix == ".jsonl":
+            rows = [json.loads(r) for r in src.read_text().splitlines()]
+            mutate(rows[0])
+            text = "".join(json.dumps(r) + "\n" for r in rows)
+        else:
+            doc = json.loads(src.read_text())
+            mutate(doc)
+            text = json.dumps(doc)
+        broken = tmp_path / src.name
+        broken.write_text(text)
+        rc, findings = _lint(capsys, broken)
+        assert rc == 1 and findings
+        assert {f["checker"] for f in findings} == {checker}
+
+    @pytest.mark.parametrize("select", [[], ["--select", "health-report"]])
+    def test_non_strict_file_reported_once_by_owner(self, corpus, tmp_path,
+                                                    select, capsys):
+        doc = json.loads((corpus / "health.json").read_text())
+        doc["cadence_s"] = float("nan")
+        path = tmp_path / "health.json"
+        path.write_text(json.dumps(doc))
+        rc, findings = _lint(capsys, path, *select)
+        assert rc == 1 and len(findings) == 1
+        assert findings[0]["checker"] == "health-report"
+        assert "not strict JSON" in findings[0]["message"]
+
+    @pytest.mark.parametrize("select,checker", [
+        ([], "trace-schema"),
+        (["--select", "health-report"], "health-report"),
+    ])
+    def test_malformed_file_reported_once(self, tmp_path, select, checker,
+                                          capsys):
+        path = _write(tmp_path, "broken.json", '{"schema": ')
+        rc, findings = _lint(capsys, path, *select)
+        assert rc == 1 and len(findings) == 1
+        assert findings[0]["checker"] == checker
 
 
 class TestRepositoryIsClean:

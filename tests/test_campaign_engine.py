@@ -429,9 +429,9 @@ class TestWorkerMeta:
 
 class TestCampaignStoreChecker:
     def _findings(self, path):
-        from repro.analyze.checkers import CampaignStoreChecker
+        from repro.analyze import run_analysis
 
-        return list(CampaignStoreChecker().check_file(str(path)))
+        return run_analysis([str(path)], select=["campaign-store"]).findings
 
     def test_valid_store_passes(self, tmp_path):
         eng = _engine(tmp_path)

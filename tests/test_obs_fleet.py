@@ -199,10 +199,10 @@ class TestRenderers:
 
 
 class TestFleetChecker:
-    def _findings(self, path):
-        from repro.analyze.checkers import FleetSchemaChecker
+    def _findings(self, path, checker="fleet-schema"):
+        from repro.analyze import run_analysis
 
-        return list(FleetSchemaChecker().check_file(str(path)))
+        return run_analysis([str(path)], select=[checker]).findings
 
     def test_valid_document_passes(self, swept, tmp_path):
         p = tmp_path / "fleet.json"
@@ -236,11 +236,9 @@ class TestFleetChecker:
         assert "fleet-schema" in {c.id for c in all_checkers()}
 
     def test_trace_schema_skips_fleet_documents(self, swept, tmp_path):
-        from repro.analyze.checkers import TraceSchemaChecker
-
         p = tmp_path / "fleet.json"
         p.write_text(json.dumps(build_fleet(swept)))
-        assert list(TraceSchemaChecker().check_file(str(p))) == []
+        assert self._findings(p, checker="trace-schema") == []
 
 
 class TestFleetCli:

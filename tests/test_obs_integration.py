@@ -2,18 +2,14 @@
 and the trace-schema lint."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from repro.analyze.checkers.trace_schema import check_trace
 from repro.core.config import BenchmarkConfig
 from repro.core.driver import simulate_run
 from repro.machine import get_machine
 from repro.obs import Observability, current, set_current, use
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from check_trace_schema import check_trace  # noqa: E402
 
 
 def _cfg(**kwargs):
