@@ -32,32 +32,21 @@ def test_fig10_timing_breakdown(benchmark, show):
 def test_fig10_gantt_view(benchmark, show):
     """Per-rank Gantt of a small run: the visual form of Fig 10."""
     from repro.core.config import BenchmarkConfig
-    from repro.core.executors import PhantomExecutor
-    from repro.core.hplai import hplai_rank_program
-    from repro.machine import FRONTIER, CommCosts
-    from repro.simulate import Engine
-    from repro.simulate.timeline import busy_fraction, render_gantt
+    from repro.core.driver import simulate_run
+    from repro.machine import FRONTIER
+    from repro.obs import Observability
+    from repro.obs.analysis.imbalance import load_imbalance
+    from repro.simulate.timeline import render_gantt
 
     def run():
         cfg = BenchmarkConfig(n=3072 * 8, block=3072, machine=FRONTIER,
                               p_rows=2, p_cols=2, bcast_algorithm="ring2m")
-        engine = Engine(
-            4, CommCosts(FRONTIER),
-            node_of_rank=cfg.node_grid.node_of_rank,
-            mpi=FRONTIER.mpi, record_timeline=True,
-        )
+        obs = Observability()
+        return obs, simulate_run(cfg, obs=obs)
 
-        def factory(rank):
-            pir, pic = cfg.grid.coords_of(rank)
-            return hplai_rank_program(
-                cfg, PhantomExecutor(cfg, pir, pic, rank), rank, None
-            )
-
-        result = engine.run(factory)
-        return engine.timeline, result.elapsed
-
-    timeline, elapsed = run_once(benchmark, run)
-    show(render_gantt(timeline, width=96))
-    fractions = busy_fraction(timeline, elapsed)
+    obs, result = run_once(benchmark, run)
+    show(render_gantt(obs.tracer.as_timeline(cats=["executor", "engine"]),
+                      width=96))
+    loads = load_imbalance(obs.tracer.spans, result.elapsed, 4).ranks
     # The GPUs stay predominantly busy (compute-bound run).
-    assert all(f > 0.5 for f in fractions.values())
+    assert all(r.busy_fraction > 0.5 for r in loads)

@@ -97,7 +97,7 @@ DOCUMENTS = (
     ),
     DocumentKind(
         "health-report",
-        "repro health JSON reports match the documented schema",
+        "health report JSON matches the documented schema",
         (HEALTH_SCHEMA,), _has_keys("findings", "degraded_ranks"),
         check_health_report,
     ),

@@ -1,6 +1,6 @@
 """Validator for the ``health-report`` document.
 
-:func:`check_health_report` validates a parsed ``repro health --json``
+:func:`check_health_report` validates a parsed ``repro run --health-json``
 report (:data:`~repro.obs.health.report.HEALTH_SCHEMA`); the
 :mod:`repro.analyze.checkers.documents` registry routes those files
 to it, so ``repro lint health.json`` is the CI entry point.

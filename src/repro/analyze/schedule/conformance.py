@@ -1,7 +1,7 @@
 """Trace conformance: replay a recorded run against the static model.
 
-A trace artifact (``repro run`` / ``repro trace`` / a campaign store's
-span export) carries one ``xfer`` span per point-to-point transfer the
+A trace artifact (``repro run --chrome-trace`` / ``--span-log`` / a
+campaign store's span export) carries one ``xfer`` span per point-to-point transfer the
 engine charged, attributed with ``dst``, ``bytes`` and the wire ``tag``.
 The extracted static schedule for the same configuration predicts
 exactly which ``(src, dst, wire_tag)`` channels may carry traffic, how
@@ -23,7 +23,7 @@ belongs to.  Conformance checking joins the two:
 Wire tags in the refinement window encode the iteration index, so they
 are canonicalized (iteration stripped) before the join; the
 factorization window is compared tag-exact.  The replayed run must be
-phantom-flow (``repro run`` and ``repro trace`` both are): exact-mode
+phantom-flow (``repro run`` is): exact-mode
 runs with data-dependent refinement depth would legitimately diverge
 in the refinement window.
 """

@@ -29,11 +29,8 @@ from repro.obs import context as obs_context
 from repro.util.atomicio import atomic_write_text
 
 SCHEMA = "repro.bench.hotpaths/v1"
-#: records live under the (gitignored) results directory; the bare
-#: filename at the repo root is the pre-PR-5 legacy location still
-#: honoured by :func:`load_record` / :func:`_previous_record`
+#: records live under the (gitignored) results directory
 DEFAULT_OUT = "benchmarks/results/BENCH_hotpaths.json"
-LEGACY_OUT = "BENCH_hotpaths.json"
 
 
 @dataclass
@@ -241,25 +238,13 @@ def write_record(record: Dict[str, object], out: str) -> str:
 
 
 def load_record(path: str = DEFAULT_OUT) -> Optional[Dict[str, object]]:
-    """Load a hotpaths record, honouring the legacy root-level location.
-
-    Asking for the default path falls back to :data:`LEGACY_OUT` when
-    the results directory has no record yet, so baselines written by
-    older checkouts keep working as ``--against`` targets.
-    """
-    candidates = [Path(path)]
-    if path == DEFAULT_OUT:
-        candidates.append(Path(LEGACY_OUT))
-    for p in candidates:
-        if not p.exists():
-            continue
-        try:
-            rec = json.loads(p.read_text())
-        except (OSError, ValueError):
-            continue
-        if rec.get("schema") == SCHEMA:
-            return rec
-    return None
+    """Load a hotpaths record; ``None`` when missing, unreadable or not
+    a :data:`SCHEMA` document."""
+    try:
+        rec = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return None
+    return rec if rec.get("schema") == SCHEMA else None
 
 
 def _previous_record(out: str) -> Optional[Dict[str, object]]:

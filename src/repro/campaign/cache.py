@@ -9,7 +9,7 @@ requests should be computed exactly once.  :class:`RunCache` stores one
 (``<key>.json``, written atomically), and mirrors hit/miss/store events
 into the obs metrics registry as ``campaign.run_cache{event=...}``
 counters — the same idiom as ``lcg.tile_cache`` — so closed-loop tests
-and ``repro metrics`` can verify a re-run sweep was 100% cache hits
+and ``repro run --metrics`` can verify a re-run sweep was 100% cache hits
 with zero recomputation.
 """
 

@@ -4,18 +4,16 @@ Subcommands mirror the workflows in the paper:
 
 - ``solve``   — numerically exact distributed solve (small N);
 - ``run``     — timing simulation of a configuration (event engine);
+  output flags export the run's artifacts from that one simulation:
+  Chrome/Perfetto trace, span log, metrics, Gantt timeline, health
+  report and HTML dashboard (docs/OBSERVABILITY.md);
 - ``model``   — analytic estimate of a configuration at any scale;
 - ``tune``    — block-size / node-grid parameter search;
 - ``scan``    — slow-GCD mini-benchmark sweep;
 - ``figure``  — regenerate a paper table/figure by id;
-- ``trace``   — simulate with full observability and export a
-  Chrome/Perfetto trace (open in https://ui.perfetto.dev);
 - ``profile`` — analyze a trace: critical path, load imbalance, comm
   matrix, model-vs-measured deviation, regression deltas;
-- ``metrics`` — simulate with observability and print the metrics table;
-- ``health``  — simulate under the online health monitor (straggler /
-  collapse / limplock detectors + run watchdog) and report findings;
-- ``dashboard`` — render trace + time series + health findings into one
+- ``dashboard`` — render an exported trace + health report into one
   self-contained HTML file (``--campaign STORE`` renders the
   campaign-level page: sweep heatmap, trajectories, worker Gantt);
 - ``bench``   — hot-path benchmark harness (writes the hotpaths record
@@ -190,18 +188,136 @@ def cmd_solve(args) -> int:
     return 0 if res.ir_converged else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _run_observability(args, scenario):
+    """The run's observability handle, or ``None`` when no output needs one.
+
+    Any span, metrics or health output enables it.  A
+    :class:`~repro.obs.health.HealthMonitor` with its run watchdog is
+    attached only for health outputs (``--health-json``,
+    ``--fail-on-findings``, ``--dashboard``) and injected faults
+    (``--scenario`` / ``--slow-rank``).
+    """
+    monitored = bool(args.health_json or args.fail_on_findings
+                     or args.dashboard or scenario is not None)
+    if not (monitored or args.chrome_trace or args.span_log
+            or args.metrics or args.gantt is not None):
+        return None
+    from repro.obs import Observability
+
+    monitor = None
+    if monitored:
+        from repro.obs.health import HealthMonitor, RunWatchdog
+
+        monitor = HealthMonitor(
+            cadence=args.cadence,
+            straggler_threshold=args.straggler_threshold,
+            watchdog=RunWatchdog(margin=args.watchdog_margin or 25.0),
+        )
+    return Observability(capacity=args.max_spans, health=monitor)
+
+
+def _export_spans(args, obs) -> None:
+    """Write the Chrome trace / span log in canonical span order.
+
+    ``--category`` / ``--rank`` narrow both exports to the lanes under
+    study, so two traces of the same run diff cleanly.
+    """
+    sel = dict(cats=args.category or None, ranks=args.rank or None,
+               sort=True)
+    cats = obs.tracer.categories()
+    print(f"  {len(obs.tracer)} spans "
+          f"({', '.join(f'{c}: {n}' for c, n in sorted(cats.items()))}"
+          f"{f'; dropped {obs.tracer.dropped}' if obs.tracer.dropped else ''})")
+    if args.category or args.rank:
+        from repro.obs.export import filter_spans
+
+        kept = len(filter_spans(obs.tracer, **sel))
+        print(f"  exported {kept} spans after --category/--rank filters")
+    if args.chrome_trace:
+        path = obs.export_chrome_trace(args.chrome_trace, **sel)
+        print(f"  chrome trace -> {path}  (open in https://ui.perfetto.dev)")
+    if args.span_log:
+        print(f"  span log     -> {obs.export_jsonl(args.span_log, **sel)}")
+
+
+def _write_dashboard(path, pi, health_doc, title) -> int:
+    """Render, validate and write one run dashboard; 1 on problems."""
+    from pathlib import Path
+
+    from repro.obs.health import render_dashboard, validate_self_contained
+
+    html = render_dashboard(pi, health_doc, title=title)
+    problems = validate_self_contained(html)
+    Path(path).write_text(html)
+    print(f"  dashboard    -> {path} ({len(html)} bytes, "
+          f"{len(pi.spans)} spans, "
+          f"{len((health_doc or {}).get('findings') or [])} finding(s))")
+    for prob in problems:
+        print(f"dashboard: {prob}")
+    return 1 if problems else 0
+
+
+def _print_metrics(cfg, obs, res, fmt) -> None:
+    """The metrics registry as a table or Prometheus text."""
+    from repro.util.format import render_table
+
+    if fmt == "prometheus":
+        print(obs.metrics_text(), end="")
+        return
+    table_rows = [
+        [r["metric"], r["labels"], r["kind"],
+         f"{r['value']:.6g}" if isinstance(r["value"], float) else r["value"],
+         r["count"]]
+        for r in obs.metrics.rows()
+    ]
+    print(render_table(
+        ["metric", "labels", "kind", "value", "count"],
+        table_rows,
+        title=f"metrics: N={cfg.n}, {cfg.p_rows}x{cfg.p_cols} "
+        f"on {cfg.machine.name} ({res.elapsed:.3f}s virtual)",
+    ))
+
+
+def _print_gantt(cfg, obs, res, width) -> None:
+    """Per-rank Gantt of the tracer's executor + engine spans."""
+    from repro.obs.analysis.imbalance import load_imbalance
+    from repro.simulate.timeline import render_gantt
+
+    timeline = obs.tracer.as_timeline(cats=["executor", "engine"])
+    print(render_gantt(timeline, width=width))
+    window = (max(s[2] for s in timeline) - min(s[1] for s in timeline))
+    busy = load_imbalance(obs.tracer.spans, window, cfg.num_ranks)
+    print(f"\nelapsed {res.elapsed:.3f}s (virtual); mean GCD busy "
+          f"fraction {busy.mean_busy_fraction:.0%}")
+
+
 def cmd_run(args) -> int:
     """Simulate a configuration on the discrete-event engine.
 
-    With ``--scenario`` the run executes under the scenario's composed
-    injections *with the health monitor attached*, so the same command
-    demonstrates both the fault and its detection; ``--health-json``
-    saves the resulting health report for CI assertions.
+    One simulation feeds every requested output: the JSON report and
+    per-iteration CSV, the Chrome trace and span log, the metrics
+    registry, the Gantt timeline, the health report and the dashboard.
+    ``--scenario`` / ``--slow-rank`` run under injected faults with the
+    health monitor attached, so one command shows both the fault and
+    its detection.  Exit code 1 when ``--fail-on-findings`` sees a
+    finding or the dashboard is not self-contained.
     """
     from repro.core.driver import simulate_run
 
     cfg = _build_config(args)
+    if args.gantt is not None and cfg.num_ranks > 64:
+        print("gantt is meant for small runs; use -p <= 8")
+        return 1
     scenario = _scenario_from_args(args, cfg)
+    obs = _run_observability(args, scenario)
     progress = None
     if args.progress:
         from repro.obs.analysis import LiveProgressReporter
@@ -210,44 +326,47 @@ def cmd_run(args) -> int:
             cfg, stream=sys.stdout, every=args.progress_every
         )
     if scenario is not None:
-        from repro.obs import Observability
-        from repro.obs.health import HealthMonitor
-
         print(f"scenario: {scenario.describe()}")
-        obs = Observability(health=HealthMonitor())
-        res = simulate_run(cfg, scenario=scenario, obs=obs,
-                           progress=progress)
-    else:
-        res = simulate_run(cfg, progress=progress)
+    res = simulate_run(cfg, scenario=scenario, obs=obs, progress=progress)
     print("event-engine simulation:")
     _print_result(res)
+    rc = 0
     if res.health is not None:
-        rep = res.health
-        if rep.findings:
-            print(f"  health: {len(rep.findings)} finding(s), degraded "
-                  f"rank(s) {rep.degraded_ranks}")
-            kinds = sorted({f.get("kind", "?") for f in rep.findings})
-            print(f"    kinds: {', '.join(kinds)}")
-        else:
-            print("  health: no findings")
-        if getattr(args, "health_json", None):
-            from pathlib import Path
+        print(res.health.render_text())
+        if args.fail_on_findings and not res.health.healthy:
+            rc = 1
+    if args.health_json:
+        from pathlib import Path
 
-            from repro.obs.export import dumps_strict
+        from repro.obs.export import dumps_strict
 
-            Path(args.health_json).write_text(
-                dumps_strict(rep.to_dict(), indent=2) + "\n"
-            )
-            print(f"  health report -> {args.health_json}")
+        Path(args.health_json).write_text(
+            dumps_strict(res.health.to_dict(), indent=2) + "\n"
+        )
+        print(f"  health report -> {args.health_json}")
+    if args.chrome_trace or args.span_log:
+        _export_spans(args, obs)
     if args.json:
         from repro.core.report import save_report
 
-        print(f"  report -> {save_report(res, args.json)}")
+        print(f"  report -> {save_report(res, args.json, obs=obs)}")
     if args.trace:
         from repro.core.report import save_trace_csv
 
         print(f"  trace  -> {save_trace_csv(res, args.trace)}")
-    return 0
+    if args.dashboard:
+        from repro.obs.analysis import from_observability
+
+        rc |= _write_dashboard(
+            args.dashboard, from_observability(obs), res.health.to_dict(),
+            f"repro dashboard: N={cfg.n} {cfg.p_rows}x{cfg.p_cols} "
+            f"on {cfg.machine.name}",
+        )
+    if args.metrics:
+        _print_metrics(cfg, obs, res, args.metrics)
+    if args.gantt is not None:
+        _print_gantt(cfg, obs, res, args.gantt)
+    return rc
 
 
 def cmd_model(args) -> int:
@@ -567,82 +686,6 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def cmd_gantt(args) -> int:
-    """Simulate a small run and render its per-rank Gantt timeline."""
-    from repro.core.executors import PhantomExecutor
-    from repro.core.hplai import hplai_rank_program
-    from repro.machine.topology import CommCosts
-    from repro.simulate.engine import Engine
-    from repro.simulate.timeline import busy_fraction, render_gantt
-
-    cfg = _build_config(args)
-    if cfg.num_ranks > 64:
-        print("gantt is meant for small runs; use -p <= 8")
-        return 1
-    costs = CommCosts(cfg.machine, port_binding=cfg.port_binding,
-                      gpu_aware=cfg.gpu_aware)
-    engine = Engine(
-        cfg.num_ranks, costs, node_of_rank=cfg.node_grid.node_of_rank,
-        mpi=cfg.machine.mpi, record_timeline=True,
-    )
-
-    def factory(rank):
-        p_ir, p_ic = cfg.grid.coords_of(rank)
-        return hplai_rank_program(
-            cfg, PhantomExecutor(cfg, p_ir, p_ic, rank), rank, None
-        )
-
-    result = engine.run(factory)
-    print(render_gantt(engine.timeline, width=args.width))
-    fracs = busy_fraction(engine.timeline, result.elapsed)
-    mean_busy = sum(fracs.values()) / len(fracs)
-    print(f"\nelapsed {result.elapsed:.3f}s (virtual); mean GCD busy "
-          f"fraction {mean_busy:.0%}")
-    return 0
-
-
-def _observed_run(args):
-    """Simulate ``args``'s configuration with telemetry enabled."""
-    from repro.core.driver import simulate_run
-    from repro.obs import Observability
-
-    cfg = _build_config(args)
-    obs = Observability(capacity=getattr(args, "max_spans", None))
-    res = simulate_run(cfg, obs=obs)
-    return cfg, obs, res
-
-
-def cmd_trace(args) -> int:
-    """Simulate a run and export its unified trace (Chrome/Perfetto).
-
-    Exports are written in the canonical span order (start, end, rank,
-    cat, name) so two traces of the same run diff cleanly; --category /
-    --rank narrow the export to the lanes under study.
-    """
-    cfg, obs, res = _observed_run(args)
-    sel = dict(cats=args.category or None, ranks=args.rank or None, sort=True)
-    path = obs.export_chrome_trace(args.out, **sel)
-    cats = obs.tracer.categories()
-    print(f"simulated N={cfg.n} on {cfg.p_rows}x{cfg.p_cols} "
-          f"({cfg.machine.name} model): {res.elapsed:.3f}s virtual")
-    print(f"  {len(obs.tracer)} spans "
-          f"({', '.join(f'{c}: {n}' for c, n in sorted(cats.items()))}"
-          f"{f'; dropped {obs.tracer.dropped}' if obs.tracer.dropped else ''})")
-    if args.category or args.rank:
-        from repro.obs.export import filter_spans
-
-        kept = len(filter_spans(obs.tracer, **sel))
-        print(f"  exported {kept} spans after --category/--rank filters")
-    print(f"  chrome trace -> {path}  (open in https://ui.perfetto.dev)")
-    if args.jsonl:
-        print(f"  span log     -> {obs.export_jsonl(args.jsonl, **sel)}")
-    if args.json:
-        from repro.core.report import save_report
-
-        print(f"  report       -> {save_report(res, args.json, obs=obs)}")
-    return 0
-
-
 def cmd_profile(args) -> int:
     """Analyze an exported trace: critical path, imbalance, comm matrix,
     model-vs-measured deviation, and optional regression gating."""
@@ -700,53 +743,6 @@ def cmd_profile(args) -> int:
                       f"(budget ±{args.max_dev:.0%})")
                 rc = 1
     return rc
-
-
-def _monitored_run(args):
-    """Simulate with a health monitor attached (optional --scenario
-    file and/or --slow-rank sugar)."""
-    from repro.core.driver import simulate_run
-    from repro.obs import Observability
-    from repro.obs.health import HealthMonitor, RunWatchdog
-
-    cfg = _build_config(args)
-    scenario = _scenario_from_args(args, cfg)
-    monitor = HealthMonitor(
-        cadence=getattr(args, "cadence", None),
-        straggler_threshold=getattr(args, "straggler_threshold", 0.3),
-        watchdog=RunWatchdog(
-            margin=getattr(args, "watchdog_margin", None) or 25.0
-        ),
-    )
-    obs = Observability(health=monitor)
-    res = simulate_run(cfg, scenario=scenario, obs=obs)
-    return cfg, obs, res
-
-
-def cmd_health(args) -> int:
-    """Run under the health monitor and print/save the health report.
-
-    Exit code 1 with --fail-on-findings when any detector fired (CI
-    uses this as the run-health gate).
-    """
-    from pathlib import Path
-
-    from repro.obs.export import dumps_strict
-
-    cfg, obs, res = _monitored_run(args)
-    rep = res.health
-    if args.json or args.out:
-        text = dumps_strict(rep.to_dict(), indent=2)
-    else:
-        text = rep.render_text()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    if args.fail_on_findings and not rep.healthy:
-        return 1
-    return 0
 
 
 def cmd_fleet(args) -> int:
@@ -826,73 +822,27 @@ def _cmd_campaign_dashboard(args) -> int:
 
 
 def cmd_dashboard(args) -> int:
-    """Render the self-contained HTML dashboard for a run.
+    """Render the self-contained HTML dashboard from exported artifacts.
 
-    Either simulates fresh (run args, optional --slow-rank), renders
-    from previously exported artifacts (--trace plus optional
-    --health), or renders the campaign-level page from a result store
-    (--campaign).
+    Either one run (``--trace`` plus optional ``--health``; ``repro run
+    --dashboard`` renders a fresh run directly) or the campaign-level
+    page from a result store (``--campaign``).
     """
     import json
     from pathlib import Path
 
-    from repro.obs.health import render_dashboard, validate_self_contained
-
     if args.campaign:
         return _cmd_campaign_dashboard(args)
-    if args.trace:
-        from repro.obs.analysis import load_profile_input
+    if not args.trace:
+        raise SystemExit("dashboard: give --trace TRACE or --campaign STORE "
+                         "(or render a fresh run with repro run --dashboard)")
+    from repro.obs.analysis import load_profile_input
 
-        pi = load_profile_input(args.trace)
-        health_doc = (
-            json.loads(Path(args.health).read_text())
-            if args.health else None
-        )
-        title = f"repro dashboard: {args.trace}"
-    else:
-        from repro.obs.analysis import from_observability
-
-        cfg, obs, res = _monitored_run(args)
-        pi = from_observability(obs)
-        health_doc = res.health.to_dict()
-        title = (
-            f"repro dashboard: N={cfg.n} {cfg.p_rows}x{cfg.p_cols} "
-            f"on {cfg.machine.name}"
-        )
-    html = render_dashboard(pi, health_doc, title=title)
-    problems = validate_self_contained(html)
-    Path(args.out).write_text(html)
-    print(f"wrote {args.out} ({len(html)} bytes, "
-          f"{len(pi.spans)} spans, "
-          f"{len((health_doc or {}).get('findings') or [])} finding(s))")
-    for prob in problems:
-        print(f"dashboard: {prob}")
-    return 1 if problems else 0
-
-
-def cmd_metrics(args) -> int:
-    """Simulate a run and print its metrics registry."""
-    from repro.util.format import render_table
-
-    cfg, obs, res = _observed_run(args)
-    fmt = "prometheus" if args.prom else args.format
-    if fmt == "prometheus":
-        print(obs.metrics_text(), end="")
-        return 0
-    rows = obs.metrics.rows()
-    table_rows = [
-        [r["metric"], r["labels"], r["kind"],
-         f"{r['value']:.6g}" if isinstance(r["value"], float) else r["value"],
-         r["count"]]
-        for r in rows
-    ]
-    print(render_table(
-        ["metric", "labels", "kind", "value", "count"],
-        table_rows,
-        title=f"metrics: N={cfg.n}, {cfg.p_rows}x{cfg.p_cols} "
-        f"on {cfg.machine.name} ({res.elapsed:.3f}s virtual)",
-    ))
-    return 0
+    health_doc = (
+        json.loads(Path(args.health).read_text()) if args.health else None
+    )
+    return _write_dashboard(args.out, load_profile_input(args.trace),
+                            health_doc, f"repro dashboard: {args.trace}")
 
 
 def cmd_report(args) -> int:
@@ -966,12 +916,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_arg(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("run", help="event-engine timing simulation")
+    p = sub.add_parser(
+        "run",
+        help="event-engine timing simulation and its run artifacts "
+             "(trace, metrics, Gantt, health report, dashboard)",
+    )
     _add_run_args(p)
-    _add_scenario_arg(p)
-    p.add_argument("--health-json", default=None, metavar="FILE",
-                   help="with --scenario: write the monitored run's "
-                        "health report as JSON")
+    _add_health_args(p)
     p.add_argument("--json", default=None, help="write a JSON run report")
     p.add_argument("--trace", default=None,
                    help="write the per-iteration trace as CSV")
@@ -980,6 +931,39 @@ def build_parser() -> argparse.ArgumentParser:
                         "while the run executes")
     p.add_argument("--progress-every", type=int, default=1, metavar="K",
                    help="report every K panel columns (default 1)")
+    g = p.add_argument_group(
+        "run artifacts (each enables observability; docs/OBSERVABILITY.md)"
+    )
+    g.add_argument("--chrome-trace", default=None, metavar="FILE",
+                   help="write the Chrome/Perfetto trace JSON "
+                        "(open in https://ui.perfetto.dev)")
+    g.add_argument("--span-log", default=None, metavar="FILE",
+                   help="write the span log as JSONL")
+    g.add_argument("--category", action="append", default=None,
+                   metavar="CAT",
+                   help="export only this span category (repeatable: "
+                        "engine, executor, comm, driver, hotpath)")
+    g.add_argument("--rank", action="append", type=int, default=None,
+                   metavar="R",
+                   help="export only this rank's lane (repeatable; "
+                        "-1 = driver lane)")
+    g.add_argument("--max-spans", type=int, default=None,
+                   help="bound tracer memory to the newest N spans")
+    g.add_argument("--metrics", choices=("table", "prometheus"),
+                   nargs="?", const="table", default=None,
+                   help="print the metrics registry (default table; "
+                        "prometheus adds histogram quantile summaries)")
+    g.add_argument("--gantt", type=_positive_int, default=None,
+                   metavar="WIDTH",
+                   help="print a WIDTH-column per-rank Gantt timeline "
+                        "(runs of <= 64 ranks)")
+    g.add_argument("--health-json", default=None, metavar="FILE",
+                   help="write the health report as JSON")
+    g.add_argument("--fail-on-findings", action="store_true",
+                   help="exit 1 when any health detector fired (CI gate)")
+    g.add_argument("--dashboard", default=None, metavar="FILE",
+                   help="write the self-contained HTML dashboard "
+                        "(trace + time series + health findings)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("model", help="analytic estimate at any scale")
@@ -1087,28 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser(
-        "trace", help="simulate with observability and export a Chrome trace"
-    )
-    _add_run_args(p)
-    p.add_argument("--out", default="trace.json",
-                   help="Chrome-trace JSON output path (default trace.json)")
-    p.add_argument("--jsonl", default=None,
-                   help="also write the span log as JSONL")
-    p.add_argument("--json", default=None,
-                   help="also write the run report (with provenance)")
-    p.add_argument("--max-spans", type=int, default=None,
-                   help="bound tracer memory to the newest N spans")
-    p.add_argument("--category", action="append", default=None,
-                   metavar="CAT",
-                   help="export only this span category (repeatable: "
-                        "engine, executor, comm, driver, hotpath)")
-    p.add_argument("--rank", action="append", type=int, default=None,
-                   metavar="R",
-                   help="export only this rank's lane (repeatable; "
-                        "-1 = driver lane)")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
         "profile",
         help="analyze a trace: critical path, imbalance, comm matrix, "
              "model deviation",
@@ -1136,46 +1098,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
-        "metrics", help="simulate with observability and print metrics"
-    )
-    _add_run_args(p)
-    p.add_argument("--format", choices=("table", "prometheus"),
-                   default="table",
-                   help="output format (default table; prometheus adds "
-                        "histogram quantile summaries)")
-    p.add_argument("--prom", action="store_true",
-                   help="alias for --format prometheus")
-    p.add_argument("--max-spans", type=int, default=None,
-                   help="bound tracer memory to the newest N spans")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser(
-        "health",
-        help="simulate under the health monitor and report findings",
-    )
-    _add_run_args(p)
-    _add_health_args(p)
-    p.add_argument("--json", action="store_true",
-                   help="emit the health report as JSON")
-    p.add_argument("--out", default=None,
-                   help="write the report to a file instead of stdout")
-    p.add_argument("--fail-on-findings", action="store_true",
-                   help="exit 1 when any detector fired (CI gate)")
-    p.set_defaults(func=cmd_health)
-
-    p = sub.add_parser(
         "dashboard",
-        help="render a self-contained HTML dashboard "
-             "(trace + time series + health findings)",
+        help="render a self-contained HTML dashboard from an exported "
+             "trace (+ health report) or a campaign store",
     )
-    _add_run_args(p)
-    _add_health_args(p)
     p.add_argument("--trace", default=None,
-                   help="render from an exported trace instead of "
-                        "simulating (Chrome JSON or JSONL)")
+                   help="exported trace to render (Chrome JSON or JSONL)")
     p.add_argument("--health", default=None, metavar="HEALTH_JSON",
-                   help="health report (from `repro health --json`) to "
-                        "annotate a --trace rendering with")
+                   help="health report (from `repro run --health-json`) "
+                        "to annotate a --trace rendering with")
     p.add_argument("--campaign", default=None, metavar="STORE",
                    help="render the campaign-level dashboard from a "
                         "result store (.jsonl) instead of one run")
@@ -1217,11 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-regress", type=float, default=0.25,
                    help="per-cell regression gate (default 0.25)")
     p.set_defaults(func=cmd_fleet)
-
-    p = sub.add_parser("gantt", help="per-rank Gantt of a small simulation")
-    _add_run_args(p)
-    p.add_argument("--width", type=int, default=100)
-    p.set_defaults(func=cmd_gantt)
 
     p = sub.add_parser(
         "report", help="regenerate the full paper-vs-measured record"

@@ -119,6 +119,10 @@ def run_benchmark(
         and drives the engine's rate schedules and link perturbations.
         Mutually exclusive with the deprecated raw parameters.
     """
+    if not isinstance(cfg, BenchmarkConfig):
+        raise ConfigurationError(
+            f"cfg must be a BenchmarkConfig, got {type(cfg).__name__}"
+        )
     if global_speed <= 0:
         raise ConfigurationError(f"global_speed must be positive, got {global_speed}")
     if scenario is None:

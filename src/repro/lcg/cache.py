@@ -49,7 +49,7 @@ def _count(event: str) -> None:
     and the bench report reads them); this adds the same events as
     ``lcg.tile_cache{event=...}`` counters when a handle is enabled so
     cache behaviour lands next to the comm/executor metrics in
-    ``repro metrics`` exports.
+    ``repro run --metrics`` exports.
     """
     obs = obs_context.current()
     if obs.enabled:

@@ -6,8 +6,8 @@ rode along (provenance, metrics snapshot) — so the same critical-path /
 imbalance / comm-matrix code works on:
 
 - a live :class:`~repro.obs.SpanTracer` (or ``Observability`` handle),
-- an exported Chrome-trace JSON file (``repro trace --out``), or
-- an exported JSONL span log (``repro trace --jsonl``).
+- an exported Chrome-trace JSON file (``repro run --chrome-trace``), or
+- an exported JSONL span log (``repro run --span-log``).
 
 The loaders also own the *semantic* mapping from raw span names to
 benchmark phases (:func:`phase_of_span`): executor kernel kinds map to

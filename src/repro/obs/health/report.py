@@ -59,7 +59,7 @@ class HealthReport:
         }
 
     def render_text(self) -> str:
-        """Terminal-friendly summary (the ``repro health`` default)."""
+        """Terminal-friendly summary (what a monitored ``repro run`` prints)."""
         lines = [
             "health report",
             f"  ranks        : {self.num_ranks}",

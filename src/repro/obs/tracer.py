@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.errors import ConfigurationError
 
-#: the (rank, start, end, kind) tuple consumed by the legacy Gantt tools
+#: the (rank, start, end, kind) tuple consumed by repro.simulate.timeline
 TimelineSpan = Tuple[int, float, float, str]
 
 
@@ -51,7 +51,7 @@ class Span:
         return self.end - self.start
 
     def as_timeline(self) -> TimelineSpan:
-        """The legacy ``(rank, start, end, kind)`` tuple."""
+        """The ``(rank, start, end, kind)`` tuple the Gantt renderer draws."""
         return (self.rank, self.start, self.end, self.name)
 
 
@@ -201,7 +201,7 @@ class SpanTracer:
     def as_timeline(
         self, cats: Optional[Iterable[str]] = None
     ) -> List[TimelineSpan]:
-        """Legacy ``(rank, start, end, kind)`` tuples for the Gantt tools.
+        """``(rank, start, end, kind)`` tuples for the Gantt renderer.
 
         ``cats`` restricts to the given categories (default: everything
         attributed to a real rank, i.e. ``rank >= 0``).

@@ -162,10 +162,6 @@ class Engine:
         untouched.
     max_events:
         Safety valve against runaway programs.
-    record_timeline:
-        When True, every Compute op and blocking wait is appended to
-        :attr:`timeline` as ``(rank, start, end, kind)`` — Gantt-chart
-        raw material (costly at scale; off by default).
     obs:
         Observability handle to emit spans/metrics into; ``None``
         (default) uses the process-wide handle from
@@ -185,7 +181,6 @@ class Engine:
         rate_plan: Optional["RatePlan"] = None,
         link_plan: Optional["LinkPlan"] = None,
         max_events: int = 200_000_000,
-        record_timeline: bool = False,
         obs: Optional["obs_context.Observability"] = None,
     ) -> None:
         if num_ranks <= 0:
@@ -241,9 +236,6 @@ class Engine:
 
         self.stats = [RankStats() for _ in range(num_ranks)]
         self._events = 0
-        self.record_timeline = record_timeline
-        #: (rank, start, end, kind) spans when record_timeline is on
-        self.timeline: List[Tuple[int, float, float, str]] = []
 
         # observability: one enabled check per emission point; the
         # hot-path instruments are resolved once here so the enabled
@@ -380,8 +372,6 @@ class Engine:
             scaled = end - st.clock
         else:
             scaled = op.seconds / float(self._mult[rank])
-        if self.record_timeline and scaled > 0:
-            self.timeline.append((rank, st.clock, st.clock + scaled, op.kind))
         if self._emit and scaled > 0:
             self._span_add(op.kind, "executor", st.clock, st.clock + scaled, rank)
         st.clock += scaled
@@ -535,10 +525,6 @@ class Engine:
     def _complete_recv(self, rank: int, msg: Message) -> None:
         st = self._ranks[rank]
         waited = max(msg.arrival - st.clock, 0.0)
-        if self.record_timeline and waited > 0:
-            self.timeline.append(
-                (rank, st.clock, st.clock + waited, "wait_recv")
-            )
         if self._emit and waited > 0:
             self._span_add(
                 "wait_recv", "engine", st.clock, msg.arrival, rank,

@@ -1,15 +1,13 @@
 """Timeline (Gantt) rendering for engine runs.
 
-With ``Engine(record_timeline=True)`` every compute span and blocking
-receive wait becomes a ``(rank, start, end, kind)`` tuple; these helpers
-turn that into a terminal Gantt chart or CSV — the visual counterpart of
-the paper's per-iteration breakdown (Fig 10), but per rank.
-
-The same renderers work on the unified telemetry stream: pass
-``obs.tracer.as_timeline()`` (see :class:`repro.obs.SpanTracer`) and the
-spans collected by the observability subsystem render identically.
-Unknown span kinds draw as ``'?'`` and raise a one-time warning naming
-them, so newly instrumented categories are never silently lumped
+An observed run's tracer holds every compute span (category
+``executor``) and blocking wait (``engine``); ``obs.tracer.as_timeline(
+cats=["executor", "engine"])`` turns them into ``(rank, start, end,
+kind)`` tuples, and these helpers render those as a terminal Gantt
+chart or CSV — the visual counterpart of the paper's per-iteration
+breakdown (Fig 10), but per rank.  ``repro run --gantt WIDTH`` prints
+one.  Unknown span kinds draw as ``'?'`` and raise a one-time warning
+naming them, so newly instrumented categories are never silently lumped
 together.
 """
 
@@ -77,8 +75,8 @@ def render_gantt(
     the largest share of that bucket (idle = space).
     """
     if not timeline:
-        raise ConfigurationError("timeline is empty; run the engine with "
-                                 "record_timeline=True")
+        raise ConfigurationError("timeline is empty; run with an enabled "
+                                 "observability handle")
     lo = t0 if t0 is not None else min(s[1] for s in timeline)
     hi = t1 if t1 is not None else max(s[2] for s in timeline)
     if hi <= lo:
@@ -142,13 +140,3 @@ def timeline_to_csv(timeline: Sequence[Span], path) -> Path:
         writer.writerows(timeline)
     return path
 
-
-def busy_fraction(timeline: Sequence[Span], elapsed: float) -> Dict[int, float]:
-    """Per-rank fraction of the run spent in non-wait spans."""
-    if elapsed <= 0:
-        raise ConfigurationError("elapsed must be positive")
-    busy: Dict[int, float] = {}
-    for rank, s, e, kind in timeline:
-        if not kind.startswith("wait"):
-            busy[rank] = busy.get(rank, 0.0) + (e - s)
-    return {r: min(v / elapsed, 1.0) for r, v in busy.items()}

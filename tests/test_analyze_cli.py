@@ -166,11 +166,11 @@ def corpus(tmp_path_factory):
     d = tmp_path_factory.mktemp("corpus")
     run = ["--machine", "frontier", "-p", "2", "--nl", "256", "-b", "64"]
     for argv in (
-        ["trace", *run, "--out", d / "trace.json", "--jsonl",
+        ["run", *run, "--chrome-trace", d / "trace.json", "--span-log",
          d / "spans.jsonl"],
         ["profile", d / "trace.json", "--format", "json",
          "--out", d / "profile.json"],
-        ["health", *run, "--json", "--out", d / "health.json"],
+        ["run", *run, "--health-json", d / "health.json"],
         ["campaign", *run, "--bcasts", "bcast,ring2m", "--runs", "1",
          "--store", d / "campaign" / "store.jsonl",
          "--export", d / "campaign" / "export.json",

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.bench.hotpaths import DEFAULT_OUT, LEGACY_OUT, SCHEMA, load_record
+from repro.bench.hotpaths import DEFAULT_OUT, SCHEMA, load_record
 from repro.bench.regression import (
     MIN_GATE_SECONDS,
     compare_records,
@@ -108,15 +108,11 @@ class TestLoadRecord:
         rec = load_record()
         assert rec is not None and rec["schema"] == SCHEMA
 
-    def test_falls_back_to_legacy_root_record(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / LEGACY_OUT).write_text(json.dumps(_record({"a": 1.0})))
-        rec = load_record()
-        assert rec is not None and rec["schema"] == SCHEMA
-
     def test_explicit_path_has_no_fallback(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / LEGACY_OUT).write_text(json.dumps(_record({"a": 1.0})))
+        (tmp_path / "BENCH_hotpaths.json").write_text(
+            json.dumps(_record({"a": 1.0}))
+        )
         assert load_record(str(tmp_path / "elsewhere.json")) is None
 
     def test_wrong_schema_ignored(self, tmp_path, monkeypatch):

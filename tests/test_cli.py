@@ -141,14 +141,22 @@ class TestReportCommand:
 
 class TestGanttCommand:
     def test_gantt_small_run(self, capsys):
-        rc = main(["gantt", "--machine", "frontier", "-p", "2",
-                   "--nl", "6144", "--width", "60"])
+        rc = main(["run", "--machine", "frontier", "-p", "2",
+                   "--nl", "6144", "--gantt", "60"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "gantt:" in out and "legend:" in out
         assert "busy fraction" in out
 
     def test_gantt_refuses_large_grids(self, capsys):
-        rc = main(["gantt", "--machine", "frontier", "-p", "16",
-                   "--nl", "6144"])
+        rc = main(["run", "--machine", "frontier", "-p", "16",
+                   "--nl", "6144", "--gantt", "100"])
         assert rc == 1
+
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_gantt_width_must_be_positive(self, width, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--machine", "frontier", "-p", "2",
+                  "--nl", "6144", "--gantt", width])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err

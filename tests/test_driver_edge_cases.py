@@ -22,6 +22,13 @@ class TestDriverValidation:
         with pytest.raises(ConfigurationError):
             run_benchmark(cfg, exact=False, rate_multipliers=np.ones(3))
 
+    @pytest.mark.parametrize("cfg", [None, {"n": 64, "block": 16}])
+    def test_non_config_rejected_at_entry(self, cfg):
+        with pytest.raises(ConfigurationError, match="BenchmarkConfig"):
+            simulate_run(cfg)
+        with pytest.raises(ConfigurationError, match="BenchmarkConfig"):
+            run_benchmark(cfg, exact=True)
+
     def test_machine_name_string_accepted(self):
         res = solve_hplai(n=64, block=16, machine="frontier")
         assert res.config.machine is FRONTIER

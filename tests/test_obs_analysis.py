@@ -527,8 +527,8 @@ class TestProfileCli:
 class TestTraceCliFilters:
     def test_filtered_export_is_sorted_and_narrow(self, tmp_path, capsys):
         out_path = tmp_path / "comm.json"
-        rc = main(["trace", "--machine", "frontier", "-p", "2",
-                   "--nl", "128", "-b", "32", "--out", str(out_path),
+        rc = main(["run", "--machine", "frontier", "-p", "2",
+                   "--nl", "128", "-b", "32", "--chrome-trace", str(out_path),
                    "--category", "comm", "--rank", "0", "--rank", "1"])
         assert rc == 0
         assert "after --category/--rank filters" in capsys.readouterr().out

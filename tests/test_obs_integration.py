@@ -161,8 +161,9 @@ class TestCli:
         out_json = tmp_path / "t.json"
         jsonl = tmp_path / "s.jsonl"
         rc = main([
-            "trace", "--machine", "frontier", "-p", "2", "--nl", "256",
-            "-b", "64", "--out", str(out_json), "--jsonl", str(jsonl),
+            "run", "--machine", "frontier", "-p", "2", "--nl", "256",
+            "-b", "64", "--chrome-trace", str(out_json),
+            "--span-log", str(jsonl),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -174,8 +175,8 @@ class TestCli:
     def test_metrics_subcommand(self, capsys):
         from repro.cli import main
 
-        rc = main(["metrics", "--machine", "summit", "-p", "2",
-                   "--nl", "128", "-b", "32"])
+        rc = main(["run", "--machine", "summit", "-p", "2",
+                   "--nl", "128", "-b", "32", "--metrics"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "executor.gemm_gflops" in out
@@ -184,8 +185,8 @@ class TestCli:
     def test_metrics_prom_dump(self, capsys):
         from repro.cli import main
 
-        rc = main(["metrics", "--machine", "summit", "-p", "2",
-                   "--nl", "128", "-b", "32", "--prom"])
+        rc = main(["run", "--machine", "summit", "-p", "2",
+                   "--nl", "128", "-b", "32", "--metrics", "prometheus"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "# TYPE run_elapsed_s gauge" in out
@@ -195,8 +196,8 @@ class TestCli:
 
         out_json = tmp_path / "t.json"
         rc = main([
-            "trace", "--machine", "frontier", "-p", "2", "--nl", "256",
-            "-b", "64", "--out", str(out_json), "--max-spans", "50",
+            "run", "--machine", "frontier", "-p", "2", "--nl", "256",
+            "-b", "64", "--chrome-trace", str(out_json), "--max-spans", "50",
         ])
         assert rc == 0
         doc = json.loads(out_json.read_text())

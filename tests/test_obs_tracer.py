@@ -157,7 +157,7 @@ class TestTimelineAdapter:
         assert len(tr.as_timeline(cats=["executor"])) == 1
 
     def test_gantt_renders_spans(self):
-        """The legacy Gantt renderer works on tracer output unchanged."""
+        """The Gantt renderer draws tracer output."""
         tr = SpanTracer()
         tr.add("gemm", "executor", 0.0, 0.6, rank=0)
         tr.add("wait_recv", "engine", 0.6, 1.0, rank=0)

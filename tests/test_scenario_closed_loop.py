@@ -127,7 +127,7 @@ class TestScenarioCli:
         assert "elapsed" in capsys.readouterr().out
 
     def test_health_scenario_flag(self, capsys):
-        rc = main(["health", *RUN_ARGS, "--scenario",
+        rc = main(["run", *RUN_ARGS, "--scenario",
                    str(EXAMPLES / "limplock.json")])
         assert rc == 0
         # the injected rank is implicated (on this small grid the
@@ -135,7 +135,7 @@ class TestScenarioCli:
         assert "(rank [5])" in capsys.readouterr().out
 
     def test_health_scenario_composes_with_slow_rank_sugar(self, capsys):
-        rc = main(["health", *RUN_ARGS,
+        rc = main(["run", *RUN_ARGS,
                    "--scenario", str(EXAMPLES / "crash_restart.json"),
                    "--slow-rank", "1", "--slow-factor", "4"])
         assert rc == 0
@@ -161,7 +161,7 @@ class TestScenarioCli:
             main(["run", *RUN_ARGS, "--scenario", "/nonexistent.json"])
 
     def test_slow_rank_sugar_still_works_without_scenario(self, capsys):
-        rc = main(["health", *RUN_ARGS, "--slow-rank", "1"])
+        rc = main(["run", *RUN_ARGS, "--slow-rank", "1"])
         assert rc == 0
         assert "straggler_drift" in capsys.readouterr().out
 

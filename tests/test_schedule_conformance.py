@@ -16,8 +16,8 @@ from repro.cli import main
 def trace_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("conformance") / "trace.json"
     rc = main([
-        "trace", "--machine", "frontier", "-p", "2", "--nl", "256",
-        "-b", "64", "--out", str(path),
+        "run", "--machine", "frontier", "-p", "2", "--nl", "256",
+        "-b", "64", "--chrome-trace", str(path),
     ])
     assert rc == 0
     return path

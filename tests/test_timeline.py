@@ -1,12 +1,16 @@
-"""Tests for engine timeline recording and Gantt rendering."""
+"""Tests for the Gantt renderer over the tracer's engine/executor spans."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine import FRONTIER, SUMMIT, CommCosts
+from repro.obs import Observability
+from repro.obs.analysis.imbalance import load_imbalance
 from repro.simulate import Compute, Engine, Recv, Send
-from repro.simulate.timeline import busy_fraction, render_gantt, timeline_to_csv
+from repro.simulate.timeline import render_gantt, timeline_to_csv
+
+CATS = ["executor", "engine"]
 
 
 def _run_with_timeline():
@@ -19,19 +23,19 @@ def _run_with_timeline():
         yield Compute("trsm", 0.005)
         return None
 
-    engine = Engine(2, CommCosts(SUMMIT), record_timeline=True)
-    result = engine.run(prog)
-    return engine, result
+    obs = Observability()
+    result = Engine(2, CommCosts(SUMMIT), obs=obs).run(prog)
+    return obs.tracer.as_timeline(cats=CATS), result
 
 
 class TestRecording:
     def test_spans_recorded(self):
-        engine, result = _run_with_timeline()
-        kinds = {k for _r, _s, _e, k in engine.timeline}
+        timeline, result = _run_with_timeline()
+        kinds = {k for _r, _s, _e, k in timeline}
         assert "gemm" in kinds and "trsm" in kinds
         # rank 1 waited for rank 0's slower... rank 1 computes longer, so
         # wait may be zero; at minimum every span is well-formed.
-        for rank, s, e, kind in engine.timeline:
+        for rank, s, e, kind in timeline:
             assert 0 <= s <= e <= result.elapsed + 1e-12
             assert rank in (0, 1)
 
@@ -42,45 +46,35 @@ class TestRecording:
 
         engine = Engine(1, CommCosts(SUMMIT))
         engine.run(prog)
-        assert engine.timeline == []
+        assert not engine.obs.enabled
+        assert engine.obs.tracer.as_timeline() == []
 
     def test_benchmark_run_timeline(self):
         from repro.core.config import BenchmarkConfig
-        from repro.core.executors import PhantomExecutor
-        from repro.core.hplai import hplai_rank_program
+        from repro.core.driver import simulate_run
 
         cfg = BenchmarkConfig(n=3072 * 4, block=3072, machine=FRONTIER,
                               p_rows=2, p_cols=2)
-        engine = Engine(
-            4, CommCosts(FRONTIER), node_of_rank=cfg.node_grid.node_of_rank,
-            mpi=FRONTIER.mpi, record_timeline=True,
-        )
-
-        def factory(rank):
-            pir, pic = cfg.grid.coords_of(rank)
-            return hplai_rank_program(
-                cfg, PhantomExecutor(cfg, pir, pic, rank), rank, None
-            )
-
-        result = engine.run(factory)
-        kinds = {k for _r, _s, _e, k in engine.timeline}
+        obs = Observability()
+        result = simulate_run(cfg, obs=obs)
+        kinds = {k for _r, _s, _e, k in obs.tracer.as_timeline(cats=CATS)}
         assert {"gemm", "getrf", "trsm"} <= kinds
-        frac = busy_fraction(engine.timeline, result.elapsed)
-        assert set(frac) == {0, 1, 2, 3}
-        assert all(0 < v <= 1 for v in frac.values())
+        loads = load_imbalance(obs.tracer.spans, result.elapsed, 4).ranks
+        assert [r.rank for r in loads] == [0, 1, 2, 3]
+        assert all(0 < r.busy_fraction <= 1 for r in loads)
 
 
 class TestRendering:
     def test_gantt_rows_and_legend(self):
-        engine, _res = _run_with_timeline()
-        out = render_gantt(engine.timeline, width=40)
+        timeline, _res = _run_with_timeline()
+        out = render_gantt(timeline, width=40)
         assert out.splitlines()[1].startswith("r0  |")
         assert "legend:" in out
         assert "#" in out  # gemm glyph
 
     def test_gantt_window_and_rank_selection(self):
-        engine, res = _run_with_timeline()
-        out = render_gantt(engine.timeline, width=20, ranks=[1],
+        timeline, res = _run_with_timeline()
+        out = render_gantt(timeline, width=20, ranks=[1],
                            t0=0.0, t1=res.elapsed)
         assert "r1" in out and "r0 " not in out
 
@@ -89,16 +83,14 @@ class TestRendering:
             render_gantt([])
         with pytest.raises(ConfigurationError):
             timeline_to_csv([], "/tmp/never.csv")
-        with pytest.raises(ConfigurationError):
-            busy_fraction([(0, 0.0, 1.0, "gemm")], 0.0)
 
     def test_csv_roundtrip(self, tmp_path):
-        engine, _res = _run_with_timeline()
-        path = timeline_to_csv(engine.timeline, tmp_path / "tl.csv")
+        timeline, _res = _run_with_timeline()
+        path = timeline_to_csv(timeline, tmp_path / "tl.csv")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# legend: ")
         assert lines[1] == "rank,start_s,end_s,kind"
-        assert len(lines) == len(engine.timeline) + 2
+        assert len(lines) == len(timeline) + 2
         # every kind present in the data is documented in the legend
         kinds = {row[3] for row in (ln.split(",") for ln in lines[2:])}
         for kind in kinds:
